@@ -20,7 +20,7 @@ from .bodies import (
     translate,
     validate_support_function,
 )
-from .circumscribe import FitResult, containment_margin, fit_translation, residual_map, strip_residual
+from .circumscribe import FitResult, containment_margin, fit_translation, residual_map, residuals, strip_residual
 from .errors import CoverfitError, DegeneracyError, GenerationError, InputError
 from .polytopes import (
     ReferenceFrame,
@@ -62,6 +62,7 @@ __all__ = [
     "containment_margin",
     "fit_translation",
     "residual_map",
+    "residuals",
     "strip_residual",
     "CoverfitError",
     "DegeneracyError",

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GenerationError, InputError
-from .rotations import Rotation
+from .rotations import Rotation, check_dim
 
 KIND_BALL = "ball"
 KIND_REULEAUX = "reuleaux_polygon"
@@ -155,7 +155,7 @@ def rotate_body(body: ConvexBody, rho: Rotation) -> ConvexBody:
 
 def make_ball(dim: int) -> ConvexBody:
     """Ball of diameter one centered at the origin: h constant 1/2."""
-    _check_dim(dim)
+    check_dim(dim)
     return ConvexBody(dim=dim, kind=KIND_BALL, constant_width_certified=True)
 
 
@@ -228,7 +228,7 @@ def make_perturbed_ball(dim: int, degree: int, epsilon: float, seed: int) -> Con
     sampled sublinearity check passes; dropping below 1e-6 without passing
     raises GenerationError.
     """
-    _check_dim(dim)
+    check_dim(dim)
     if degree % 2 == 0 or degree < 1 or degree > 5:
         raise InputError(f"degree must be odd and in [1, 5], got {degree}")
     if epsilon < 0.0 or epsilon > 0.2:
@@ -317,11 +317,6 @@ def _homog(body: ConvexBody, X: np.ndarray) -> np.ndarray:
     return norms * body.support_many(X / norms[:, None])
 
 
-def _check_dim(dim: int) -> None:
-    if dim not in (2, 3, 4):
-        raise InputError(f"supported dimensions are 2, 3, 4; got {dim}")
-
-
 # ---------------------------------------------------------------------------
 # JSON round trip.  Only the three base kinds are stored; floats survive
 # exactly through repr-based JSON serialization.
@@ -356,7 +351,7 @@ def body_from_dict(data: dict) -> ConvexBody:
         kind = data["kind"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed body data: {exc}") from exc
-    _check_dim(dim)
+    check_dim(dim)
     if kind == KIND_BALL:
         return make_ball(dim)
     if kind == KIND_REULEAUX:

@@ -1,13 +1,22 @@
 """Fitting a constant-width body into a rotated strip polytope.
 
-For a rotation tau, the frame strips pin down a unique translation x: a
-width-one body sits inside a width-one strip only when the strip is exactly
-centered on the body's own slab, which turns containment into the linear
-equations x . v_i = h(v_i) - 1/2 over the frame normals v_i = tau u_i.  The
-remaining strips each contribute one signed mismatch h(v_j) - 1/2 - x . v_j
-between the body's slab midplane and the strip midplane; the vector of
-mismatches is the residual, and a residual of zero certifies containment in
-the full polytope.
+For a rotation tau the strip normals are the rows of V = U tau^T.  The frame
+strips pin down a unique translation x: a width-one body sits inside a
+width-one strip only when the strip is exactly centered on the body's own
+slab, so containment in the frame strips is the linear system
+V_f x = h_f - 1/2, with h the support values at the rotated normals.  Since
+V_f = U_f tau^T, its solution is x = tau U_f^-1 (h_f - 1/2).  Each remaining
+strip contributes one signed mismatch h_j - 1/2 - x . v_j between the body's
+slab midplane and the strip midplane, and U_rest tau^T tau = U_rest gives
+
+    g(tau) = h_rest - 1/2 - C (h_f - 1/2),    C = U_rest U_f^-1.
+
+The coupling map C depends on the polytope alone, so `make_polytope`
+computes it once and `residuals` evaluates g at a whole stack of rotations
+with one support evaluation and no linear solve.  No degeneracy check is
+needed per rotation: |det(U_f tau^T)| = |det U_f| for every tau, and
+`make_polytope` already rejects frames with |det U_f| at or below 1e-6.  A
+residual of zero certifies containment in the full polytope.
 """
 
 from __future__ import annotations
@@ -90,32 +99,30 @@ def containment_margin(
     return float(np.min(slack))
 
 
-def residual_map(body: ConvexBody, P: SymmetricPolytope, tau: Rotation) -> FitResult:
-    """Translation, residual over the non-frame strips, and margin at tau.
+def residuals(body: ConvexBody, P: SymmetricPolytope, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Translations x, shape (B, n), and residuals g, shape (B, k - n), at
+    each rotation matrix of the stack R, shape (B, n, n).
 
-    The residual components are ordered by ascending original strip index,
-    so vectors are comparable across calls.
+    Residual components follow the ascending original strip index, so
+    vectors are comparable across calls.
     """
+    R = np.asarray(R, dtype=float)
+    n = P.dim
+    if body.dim != n or R.ndim != 3 or R.shape[1:] != (n, n):
+        raise InputError(f"body dim {body.dim} and rotations {R.shape} do not fit polytope dim {n}")
+    V = P.strip_normals @ R.transpose(0, 2, 1)
+    h = body.support_many(V.reshape(-1, n)).reshape(len(R), -1) - FACET_OFFSET
+    hf = h[:, list(P.frame.indices)]
+    x = np.einsum("bij,bj->bi", R, hf @ P.frame_inverse.T)
+    return x, h[:, list(P.rest)] - hf @ P.coupling.T
+
+
+def residual_map(body: ConvexBody, P: SymmetricPolytope, tau: Rotation) -> FitResult:
+    """Translation, residual over the non-frame strips, and margin at tau."""
     _check_dims(body, P, tau)
-    x, residual = _translation_and_residual(body, P, tau)
-    margin = containment_margin(body, P, tau, x)
-    return FitResult(x=x, residual=residual, margin=margin, frame=P.frame)
-
-
-def _translation_and_residual(
-    body: ConvexBody, P: SymmetricPolytope, tau: Rotation
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shared fast path: frame solve plus non-frame mismatches, no margin."""
-    V = tau.apply_many(P.strip_normals)
-    h = body.support_many(V)
-    frame_idx = list(P.frame.indices)
-    Vf = V[frame_idx]
-    if abs(float(np.linalg.det(Vf))) <= _DET_FLOOR:
-        raise DegeneracyError("rotated frame normals are numerically dependent")
-    x = np.linalg.solve(Vf, h[frame_idx] - FACET_OFFSET)
-    rest = [j for j in range(P.n_strips) if j not in P.frame.indices]
-    residual = h[rest] - FACET_OFFSET - V[rest] @ x
-    return x, residual
+    x, g = residuals(body, P, tau.matrix[None])
+    margin = containment_margin(body, P, tau, x[0])
+    return FitResult(x=x[0], residual=g[0], margin=margin, frame=P.frame)
 
 
 def _check_dims(body: ConvexBody, P: SymmetricPolytope, tau: Rotation) -> None:

@@ -14,20 +14,13 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
 from .bodies import load_body, make_ball, make_perturbed_ball, make_reuleaux_polygon, save_body
 from .errors import CoverfitError, InputError
 from .polytopes import PRESET_NAMES, preset, resolve_polytope, save_polytope, load_polytope
-from .records import (
-    build_solve_record,
-    digest_bytes,
-    load_record,
-    verify_record,
-    write_record,
-)
+from .records import build_solve_record, digest_inputs, load_record, verify_record, write_record
 from .search import SearchConfig, minimize, scan_2d, scan_residual_2d
 from . import topology
 
@@ -62,6 +55,8 @@ def cmd_gen_body(args: argparse.Namespace) -> int:
         raise InputError(f"unknown kind {args.kind!r}")
     save_body(body, args.out)
     print(f"wrote {args.kind} body to {args.out}")
+    if body.perturbation is not None and body.perturbation.epsilon < args.epsilon:
+        print(f"note: epsilon shrunk from {args.epsilon} to {body.perturbation.epsilon}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -78,21 +73,9 @@ def cmd_make_polytope(args: argparse.Namespace) -> int:
 
 def _load_inputs(args: argparse.Namespace):
     body = load_body(args.body)
-    digests = {"body": digest_bytes(Path(args.body).read_bytes())}
-    if args.polytope is not None:
-        P = resolve_polytope(args.polytope)
-        source = args.polytope
-    else:
-        P = preset(args.preset)
-        source = args.preset
-    if source in PRESET_NAMES:
-        from .polytopes import polytope_to_dict
-        from .records import digest_json
-
-        digests["polytope"] = digest_json(polytope_to_dict(P))
-    else:
-        digests["polytope"] = digest_bytes(Path(source).read_bytes())
-    return body, P, digests
+    source = args.polytope if args.polytope is not None else args.preset
+    P = resolve_polytope(source)
+    return body, P, digest_inputs(body, P, body_file=args.body, polytope_source=source)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

@@ -4,7 +4,8 @@ A polytope is stored as one oriented unit normal per pair of opposite
 facets; facet hyperplanes sit at distance 1/2 from the origin, so each pair
 bounds a strip of width one.  Construction canonicalizes orientations,
 collapses antipodal duplicates, and picks a spanning reference frame of
-maximal determinant once and for all.
+maximal determinant once and for all, together with the frame coupling
+that the residual map needs (see `circumscribe`).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegeneracyError, InputError
+from .rotations import canonical_sign, check_dim
 from . import topology
 
 FACET_OFFSET = 0.5
@@ -44,6 +46,9 @@ class SymmetricPolytope:
     strip_normals: np.ndarray  # (k, dim), unit rows, canonically oriented
     frame: ReferenceFrame
     beyond_theorem_bound: bool
+    rest: tuple[int, ...]  # the non-frame strip indices, ascending
+    frame_inverse: np.ndarray  # U_f^-1, the inverse of the frame normals
+    coupling: np.ndarray  # C = U_rest U_f^-1, shape (k - dim, dim)
 
     @property
     def n_strips(self) -> int:
@@ -63,8 +68,7 @@ def make_polytope(dim: int, normals: np.ndarray) -> SymmetricPolytope:
     input is rejected as a duplicate.  Normals failing to span R^dim leave
     the intersection of strips unbounded and are rejected.
     """
-    if dim not in (2, 3, 4):
-        raise InputError(f"supported dimensions are 2, 3, 4; got {dim}")
+    check_dim(dim)
     A = np.asarray(normals, dtype=float)
     if A.ndim != 2 or A.shape[1] != dim:
         raise InputError(f"normals must be (k, {dim}), got {A.shape}")
@@ -89,7 +93,7 @@ def make_polytope(dim: int, normals: np.ndarray) -> SymmetricPolytope:
                 break
         if not duplicate:
             kept.append(row)
-    K = np.array([_canonical_orientation(r) for r in kept])
+    K = np.array([canonical_sign(r) for r in kept])
 
     if np.linalg.matrix_rank(K) < dim:
         raise InputError("unbounded polytope: strip normals do not span the space")
@@ -98,14 +102,12 @@ def make_polytope(dim: int, normals: np.ndarray) -> SymmetricPolytope:
     beyond = False
     if dim % 2 == 0:
         beyond = 2 * len(K) > topology.facet_bound(dim)
-    return SymmetricPolytope(dim=dim, strip_normals=K, frame=frame, beyond_theorem_bound=beyond)
-
-
-def _canonical_orientation(u: np.ndarray) -> np.ndarray:
-    for c in u:
-        if abs(c) > 1e-12:
-            return -u if c < 0 else u
-    return u
+    rest = tuple(j for j in range(len(K)) if j not in frame.indices)
+    inv = np.linalg.inv(K[list(frame.indices)])
+    return SymmetricPolytope(
+        dim=dim, strip_normals=K, frame=frame, beyond_theorem_bound=beyond,
+        rest=rest, frame_inverse=inv, coupling=K[list(rest)] @ inv,
+    )
 
 
 def _select_frame(K: np.ndarray, dim: int) -> ReferenceFrame:

@@ -19,7 +19,7 @@ from . import __version__
 from .bodies import ConvexBody, body_from_dict, body_to_dict
 from .circumscribe import residual_map
 from .errors import InputError
-from .polytopes import SymmetricPolytope, polytope_from_dict, polytope_to_dict
+from .polytopes import PRESET_NAMES, SymmetricPolytope, polytope_from_dict, polytope_to_dict
 from .rotations import Rotation
 from .search import SearchConfig, SearchOutcome
 
@@ -35,6 +35,25 @@ def digest_json(obj: dict) -> str:
     return digest_bytes(json.dumps(obj, sort_keys=True).encode())
 
 
+def digest_inputs(
+    body: ConvexBody,
+    P: SymmetricPolytope,
+    body_file: str | Path | None = None,
+    polytope_source: str | None = None,
+) -> dict:
+    """sha256 digests of a solve's inputs: the file's bytes for an input read
+    from a file, otherwise (a preset name included) the canonical JSON."""
+
+    def digest(path: str | Path | None, data: dict) -> str:
+        return digest_json(data) if path is None else digest_bytes(Path(path).read_bytes())
+
+    polytope_file = None if polytope_source in PRESET_NAMES else polytope_source
+    return {
+        "body": digest(body_file, body_to_dict(body)),
+        "polytope": digest(polytope_file, polytope_to_dict(P)),
+    }
+
+
 def build_solve_record(
     body: ConvexBody,
     P: SymmetricPolytope,
@@ -43,12 +62,6 @@ def build_solve_record(
     wall_time_s: float,
     input_digests: dict | None = None,
 ) -> dict:
-    body_data = body_to_dict(body)
-    poly_data = polytope_to_dict(P)
-    digests = input_digests or {
-        "body": digest_json(body_data),
-        "polytope": digest_json(poly_data),
-    }
     return {
         "tool": "coverfit",
         "version": __version__,
@@ -59,7 +72,11 @@ def build_solve_record(
             "restarts": cfg.restarts,
             "max_iters": cfg.max_iters,
         },
-        "inputs": {"body": body_data, "polytope": poly_data, "digests": digests},
+        "inputs": {
+            "body": body_to_dict(body),
+            "polytope": polytope_to_dict(P),
+            "digests": input_digests or digest_inputs(body, P),
+        },
         "beyond_theorem_bound": P.beyond_theorem_bound,
         "outcome": outcome.to_dict(),
         "wall_time_s": wall_time_s,

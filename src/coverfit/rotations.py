@@ -127,14 +127,15 @@ def _matrix_to_quat3(M: np.ndarray) -> np.ndarray:
         q[1 + i] = 0.5 * r
         q[1 + j] = (M[j, i] + M[i, j]) * s
         q[1 + k] = (M[k, i] + M[i, k]) * s
-    return _canonical_quat(q / np.linalg.norm(q))
+    return canonical_sign(q / np.linalg.norm(q))
 
 
-def _canonical_quat(q: np.ndarray) -> np.ndarray:
-    for c in q:
+def canonical_sign(v: np.ndarray) -> np.ndarray:
+    """v or -v, whichever has its first nonzero coordinate positive."""
+    for c in v:
         if abs(c) > 1e-12:
-            return -q if c < 0 else q
-    return q
+            return -v if c < 0 else v
+    return v
 
 
 def _pair_to_matrix4(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -157,7 +158,7 @@ def _matrix_to_pair4(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     U, _, Vt = np.linalg.svd(N)
     p = U[:, 0]
     q = Vt[0, :]
-    pc = _canonical_quat(p)
+    pc = canonical_sign(p)
     if not np.array_equal(pc, p):
         q = -q
     return pc, q
@@ -187,7 +188,7 @@ class Rotation:
 
     @classmethod
     def identity(cls, dim: int) -> "Rotation":
-        _check_dim(dim)
+        check_dim(dim)
         return cls(dim=dim, matrix=np.eye(dim))
 
     @classmethod
@@ -198,7 +199,7 @@ class Rotation:
         n = M.shape[0]
         if dim is not None and dim != n:
             raise InputError(f"matrix is {n}x{n}, expected dim {dim}")
-        _check_dim(n)
+        check_dim(n)
         drift = orthogonality_drift(M)
         if drift > REJECT_TOL:
             raise InputError(f"matrix is not orthogonal (drift {drift:.3e})")
@@ -272,7 +273,7 @@ class Rotation:
         return self.compose(other)
 
 
-def _check_dim(dim: int) -> None:
+def check_dim(dim: int) -> None:
     if dim not in (2, 3, 4):
         raise InputError(f"supported dimensions are 2, 3, 4; got {dim}")
 
@@ -297,7 +298,7 @@ def random_rotation(dim: int, rng: np.random.Generator) -> Rotation:
     normalized Gaussians); dim 4 an independent pair of uniform unit
     quaternions, whose push-forward through the double cover is Haar.
     """
-    _check_dim(dim)
+    check_dim(dim)
     if dim == 2:
         return Rotation.from_angle(rng.uniform(0.0, 2.0 * np.pi))
     if dim == 3:

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.optimize import minimize as _nelder_mead
 
 from .bodies import ConvexBody
-from .circumscribe import FitResult, residual_map, _translation_and_residual
-from .errors import DegeneracyError, InputError
+from .circumscribe import FitResult, residual_map, residuals
+from .errors import InputError
 from .polytopes import SymmetricPolytope
 from .rotations import Rotation, chart_dim, exp_chart, random_rotation
 
@@ -29,7 +29,6 @@ _INITIAL_SIMPLEX_SCALE = 0.5
 _SIMPLEX_GAIN = 2.0
 _MIN_SIMPLEX = 1e-9
 _MAX_SIMPLEX = 0.25
-_PENALTY = 1e6
 
 
 @dataclass(frozen=True)
@@ -54,24 +53,24 @@ class SearchConfig:
 class SearchOutcome:
     rotation: Rotation
     fit: FitResult
-    gnorm: float
     starts: int
     converged: bool
     seed: int
 
+    @property
+    def gnorm(self) -> float:
+        return self.fit.gnorm
+
     def to_dict(self) -> dict:
-        d = {
-            "dim": self.rotation.dim,
-            "matrix": [[float(c) for c in row] for row in self.rotation.matrix],
-            "x": [float(c) for c in self.fit.x],
-            "residual": [float(c) for c in self.fit.residual],
-            "gnorm": float(self.gnorm),
-            "margin": float(self.fit.margin),
-            "frame": list(self.fit.frame.indices),
-            "starts": self.starts,
-            "converged": self.converged,
-            "seed": self.seed,
-        }
+        d = self.fit.to_dict()
+        d.update(
+            dim=self.rotation.dim,
+            matrix=[[float(c) for c in row] for row in self.rotation.matrix],
+            gnorm=self.gnorm,
+            starts=self.starts,
+            converged=self.converged,
+            seed=self.seed,
+        )
         if self.rotation.dim == 4:
             p, q = self.rotation.quaternion_pair
             d["quaternion_pair"] = [[float(c) for c in p], [float(c) for c in q]]
@@ -79,8 +78,8 @@ class SearchOutcome:
 
 
 def _gnorm_at(body: ConvexBody, P: SymmetricPolytope, tau: Rotation) -> float:
-    _, residual = _translation_and_residual(body, P, tau)
-    return float(np.linalg.norm(residual))
+    _, g = residuals(body, P, tau.matrix[None])
+    return float(np.linalg.norm(g[0]))
 
 
 def _run_single_start(
@@ -104,11 +103,7 @@ def _run_single_start(
         center = tau
 
         def objective(a: np.ndarray) -> float:
-            try:
-                _, residual = _translation_and_residual(body, P, exp_chart(center, a))
-            except DegeneracyError:
-                return _PENALTY
-            return float(np.linalg.norm(residual))
+            return _gnorm_at(body, P, exp_chart(center, a))
 
         simplex = np.zeros((m + 1, m))
         simplex[1:] = np.eye(m) * delta
@@ -190,11 +185,9 @@ def minimize(
 
     tau = Rotation(dim=body.dim, matrix=best_matrix)
     fit = residual_map(body, P, tau)
-    gnorm = fit.gnorm
-    converged = gnorm <= cfg.tol
     starts = (converged_index + 1) if converged_index is not None else cfg.restarts
     return SearchOutcome(
-        rotation=tau, fit=fit, gnorm=gnorm, starts=starts, converged=converged, seed=cfg.seed
+        rotation=tau, fit=fit, starts=starts, converged=fit.gnorm <= cfg.tol, seed=cfg.seed
     )
 
 
@@ -234,65 +227,58 @@ def scan_residual_2d(
     """
     _check_scan_inputs(body, P, samples)
     thetas = np.linspace(0.0, np.pi, samples + 1)
-    values = np.array([_scalar_residual(body, P, t) for t in thetas])
-    return thetas, values
+    return thetas, _scalar_residuals(body, P, thetas)
 
 
 def scan_2d(body: ConvexBody, P: SymmetricPolytope, samples: int) -> list[ScanBracket]:
     """All sign-change brackets of the scalar residual on [0, pi].
 
-    Each sign change is refined by 60 bisection steps.  Intervals where the
-    residual is numerically zero at both ends (the ball, for instance) are
+    Each sign change is refined by 60 bisection steps, all brackets in step
+    with one batched residual evaluation per step.  Intervals where the
+    residual is numerically zero at either end (the ball, for instance) are
     reported as degenerate zeros instead of being bisected.
     """
     thetas, values = scan_residual_2d(body, P, samples)
-    brackets: list[ScanBracket] = []
-    for i in range(samples):
-        lo, hi = float(thetas[i]), float(thetas[i + 1])
-        flo, fhi = float(values[i]), float(values[i + 1])
-        lo_zero = abs(flo) <= _ZERO_EPS
-        hi_zero = abs(fhi) <= _ZERO_EPS
-        if lo_zero or hi_zero:
-            root = lo if lo_zero and not hi_zero else (hi if hi_zero and not lo_zero else 0.5 * (lo + hi))
-            brackets.append(
-                ScanBracket(
-                    theta_lo=lo,
-                    theta_hi=hi,
-                    root=root,
-                    kind="degenerate_zero",
-                    residual_at_root=_scalar_residual(body, P, root),
-                )
-            )
-            continue
-        if flo * fhi < 0.0:
-            blo, bhi = lo, hi
-            vlo = flo
-            for _ in range(_BISECTION_STEPS):
-                mid = 0.5 * (blo + bhi)
-                vmid = _scalar_residual(body, P, mid)
-                if vmid == 0.0:
-                    blo = bhi = mid
-                    break
-                if (vlo < 0.0) != (vmid < 0.0):
-                    bhi = mid
-                else:
-                    blo, vlo = mid, vmid
-            root = 0.5 * (blo + bhi)
-            brackets.append(
-                ScanBracket(
-                    theta_lo=blo,
-                    theta_hi=bhi,
-                    root=root,
-                    kind="sign_change",
-                    residual_at_root=_scalar_residual(body, P, root),
-                )
-            )
-    return brackets
+    lo, hi = thetas[:-1].copy(), thetas[1:].copy()
+    flo, fhi = values[:-1], values[1:]
+    lo_zero = np.abs(flo) <= _ZERO_EPS
+    hi_zero = np.abs(fhi) <= _ZERO_EPS
+    degenerate = lo_zero | hi_zero
+    root = np.where(lo_zero & ~hi_zero, lo, np.where(hi_zero & ~lo_zero, hi, 0.5 * (lo + hi)))
+    sign = ~degenerate & (flo * fhi < 0.0)
+    if sign.any():
+        blo, bhi, vlo = lo[sign], hi[sign], flo[sign]
+        for _ in range(_BISECTION_STEPS):
+            mid = 0.5 * (blo + bhi)
+            vmid = _scalar_residuals(body, P, mid)
+            # an exact zero collapses its bracket onto mid, where it stays
+            hit = vmid == 0.0
+            left = (vlo < 0.0) != (vmid < 0.0)
+            blo = np.where(left & ~hit, blo, mid)
+            bhi = np.where(left | hit, mid, bhi)
+            vlo = np.where(left, vlo, vmid)
+        lo[sign], hi[sign], root[sign] = blo, bhi, 0.5 * (blo + bhi)
+    found = np.flatnonzero(degenerate | sign)
+    if found.size == 0:
+        return []
+    at_root = _scalar_residuals(body, P, root[found])
+    return [
+        ScanBracket(
+            theta_lo=float(lo[i]),
+            theta_hi=float(hi[i]),
+            root=float(root[i]),
+            kind="degenerate_zero" if degenerate[i] else "sign_change",
+            residual_at_root=float(r),
+        )
+        for i, r in zip(found, at_root)
+    ]
 
 
-def _scalar_residual(body: ConvexBody, P: SymmetricPolytope, theta: float) -> float:
-    _, residual = _translation_and_residual(body, P, Rotation.from_angle(theta))
-    return float(residual[0])
+def _scalar_residuals(body: ConvexBody, P: SymmetricPolytope, thetas: np.ndarray) -> np.ndarray:
+    """The one-component residual at each planar rotation angle."""
+    c, s = np.cos(thetas), np.sin(thetas)
+    R = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=1)
+    return residuals(body, P, R)[1][:, 0]
 
 
 def _check_scan_inputs(body: ConvexBody, P: SymmetricPolytope, samples: int) -> None:

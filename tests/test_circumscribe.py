@@ -15,6 +15,7 @@ from coverfit import (
     preset,
     random_rotation,
     residual_map,
+    residuals,
     rotate_body,
     strip_residual,
     translate,
@@ -223,3 +224,44 @@ def test_fit_result_serialization():
     assert len(d["x"]) == 4
     assert len(d["residual"]) == 3
     assert d["frame"] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("name", ["hexagon2d", "rhombic12_3d", "axisdiag14_4d", "cross16_4d"])
+def test_residuals_match_solve_oracles(name):
+    # the batched core against a frame solve and one strip mismatch per strip
+    P = preset(name)
+    body = make_perturbed_ball(P.dim, 3, 0.05, seed=11)
+    rng = np.random.default_rng(12)
+    taus = [random_rotation(P.dim, rng) for _ in range(200)]
+    xs, gs = residuals(body, P, np.array([tau.matrix for tau in taus]))
+    assert xs.shape == (200, P.dim)
+    assert gs.shape == (200, P.n_strips - P.dim)
+    for tau, x, g in zip(taus, xs, gs):
+        V = tau.apply_many(P.strip_normals)
+        x_solve = fit_translation(body, V[list(P.frame.indices)])
+        assert np.max(np.abs(x - x_solve)) <= 1e-14
+        g_strips = [strip_residual(body, V[j], x_solve) for j in P.rest]
+        assert np.max(np.abs(g - g_strips), initial=0.0) <= 1e-14
+        fit = residual_map(body, P, tau)
+        assert np.max(np.abs(x - fit.x)) <= 1e-15
+        assert np.max(np.abs(g - fit.residual), initial=0.0) <= 1e-15
+
+
+def test_polytope_coupling_is_the_frame_solve():
+    # C = U_rest U_f^-1 maps frame support offsets onto the other strips
+    for name in ("hexagon2d", "rhombic12_3d", "axisdiag14_4d", "cross16_4d"):
+        P = preset(name)
+        U_f = P.strip_normals[list(P.frame.indices)]
+        assert P.rest == tuple(j for j in range(P.n_strips) if j not in P.frame.indices)
+        assert np.max(np.abs(P.frame_inverse @ U_f - np.eye(P.dim))) <= 1e-14
+        assert np.max(np.abs(P.coupling @ U_f - P.strip_normals[list(P.rest)])) <= 1e-14
+
+
+def test_residuals_rejects_mismatched_rotations():
+    P = preset("axisdiag14_4d")
+    with pytest.raises(InputError):
+        residuals(make_ball(4), P, np.eye(4))
+    with pytest.raises(InputError):
+        residuals(make_ball(4), P, np.eye(3)[None])
+    with pytest.raises(InputError):
+        residuals(make_ball(2), P, np.eye(4)[None])

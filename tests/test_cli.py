@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +13,14 @@ from coverfit import (
     preset,
     validate_support_function,
 )
+from coverfit.bodies import body_from_dict, body_to_dict, save_body
 from coverfit.cli import main
+from coverfit.polytopes import polytope_from_dict, polytope_to_dict
 from coverfit.records import (
     build_solve_record,
+    digest_bytes,
+    digest_inputs,
+    digest_json,
     load_record,
     strip_wall_time,
     verify_record,
@@ -56,6 +62,22 @@ def test_gen_body_ball(tmp_path, capsys):
     code, _ = run(["gen-body", "--dim", "2", "--kind", "ball", "--out", str(out)], capsys)
     assert code == 0
     assert load_body(out).support(np.array([0.0, 1.0])) == 0.5
+
+
+def test_gen_body_reports_shrunk_epsilon(tmp_path, capsys):
+    out = tmp_path / "rough.json"
+    argv = ["gen-body", "--dim", "3", "--kind", "perturbed_ball", "--epsilon", "0.2",
+            "--degree", "5", "--seed", "0", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote perturbed_ball body to {out}\n"
+    assert captured.err == "note: epsilon shrunk from 0.2 to 0.1\n"
+    assert load_body(out).perturbation.epsilon == 0.1
+    # a body kept at the requested epsilon prints no note
+    assert main(argv[:-3] + ["4", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert load_body(out).perturbation.epsilon == 0.2
 
 
 def test_gen_body_even_k_exits_3(tmp_path, capsys):
@@ -221,6 +243,66 @@ def test_verify_result_roundtrip_in_process(pb4_file):
     result = verify_record(record)
     assert result.matches
     assert result.max_deviation == 0.0
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["solve_axisdiag14_4d.json", "solve_hexagon2d.json"])
+def test_stored_records_still_verify(name, capsys):
+    # records written by `coverfit solve` before the batched residual core
+    record = load_record(DATA / name)
+    result = verify_record(record)
+    assert result.matches, result.detail
+    assert run(["verify", "--record", str(DATA / name)], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("name", ["solve_axisdiag14_4d.json", "solve_hexagon2d.json"])
+def test_stored_record_digests_reproduce(name, tmp_path):
+    # both records came from a body file and a --preset polytope
+    record = load_record(DATA / name)
+    body = body_from_dict(record["inputs"]["body"])
+    body_file = tmp_path / "body.json"
+    save_body(body, body_file)
+    P = polytope_from_dict(record["inputs"]["polytope"])
+    preset_name = {2: "hexagon2d", 4: "axisdiag14_4d"}[P.dim]
+    digests = digest_inputs(body, P, body_file=body_file, polytope_source=preset_name)
+    assert digests == record["inputs"]["digests"]
+
+
+def test_digest_inputs_file_and_preset_rules(tmp_path):
+    body = make_perturbed_ball(4, 3, 0.05, seed=3)
+    P = preset("axisdiag14_4d")
+    body_file = tmp_path / "b.json"
+    poly_file = tmp_path / "p.json"
+    save_body(body, body_file)
+    poly_file.write_text(json.dumps(polytope_to_dict(P)))
+    in_process = {"body": digest_json(body_to_dict(body)), "polytope": digest_json(polytope_to_dict(P))}
+    assert digest_inputs(body, P) == in_process
+    assert digest_inputs(body, P, polytope_source="axisdiag14_4d") == in_process
+    from_files = digest_inputs(body, P, body_file=body_file, polytope_source=str(poly_file))
+    assert from_files == {
+        "body": digest_bytes(body_file.read_bytes()),
+        "polytope": digest_bytes(poly_file.read_bytes()),
+    }
+
+
+def test_solve_record_digests_follow_the_input_source(tmp_path, ball4_file, capsys):
+    poly_file = tmp_path / "poly.json"
+    run(["make-polytope", "--preset", "axisdiag14_4d", "--out", str(poly_file)], capsys)
+    by_preset, by_file = tmp_path / "a.json", tmp_path / "b.json"
+    for source, rec in ((["--preset", "axisdiag14_4d"], by_preset), (["--polytope", str(poly_file)], by_file)):
+        code, _ = run(["solve", "--body", str(ball4_file), *source, "--restarts", "1", "--out", str(rec)], capsys)
+        assert code == 0
+    body_digest = digest_bytes(ball4_file.read_bytes())
+    assert load_record(by_preset)["inputs"]["digests"] == {
+        "body": body_digest,
+        "polytope": digest_json(polytope_to_dict(preset("axisdiag14_4d"))),
+    }
+    assert load_record(by_file)["inputs"]["digests"] == {
+        "body": body_digest,
+        "polytope": digest_bytes(poly_file.read_bytes()),
+    }
 
 
 # --- scan2d -----------------------------------------------------------------

@@ -188,3 +188,74 @@ def test_scan_input_errors():
 
     with pytest.raises(InputError):
         scan_2d(make_ball(2), make_polytope(2, four), 16)
+
+
+def test_outcome_dict_keys_and_values_are_the_fit_plus_the_rotation():
+    body = make_perturbed_ball(4, 3, 0.05, seed=9)
+    out = minimize(body, preset("axisdiag14_4d"), SearchConfig(seed=9))
+    d = out.to_dict()
+    assert set(d) == {
+        "dim", "matrix", "x", "residual", "gnorm", "margin", "frame",
+        "starts", "converged", "seed", "quaternion_pair",
+    }
+    assert d["x"] == [float(c) for c in out.fit.x]
+    assert d["residual"] == [float(c) for c in out.fit.residual]
+    assert d["gnorm"] == out.fit.gnorm == out.gnorm
+    assert d["margin"] == out.fit.margin
+    assert d["frame"] == [0, 1, 2, 3]
+    assert d["matrix"] == out.rotation.matrix.tolist()
+    assert (d["dim"], d["starts"], d["converged"], d["seed"]) == (4, out.starts, out.converged, 9)
+    planar = minimize(make_reuleaux_polygon(3, 0.1), preset("hexagon2d"), SearchConfig(seed=3, restarts=10))
+    assert set(planar.to_dict()) == set(d) - {"quaternion_pair"}
+
+
+def test_outcome_gnorm_is_read_only():
+    out = minimize(make_ball(2), preset("hexagon2d"), SearchConfig(seed=0, restarts=1))
+    with pytest.raises(AttributeError):
+        out.gnorm = 1.0
+
+
+def _reference_scan(body, P, samples):
+    """The scan rule written out one angle at a time through residual_map."""
+
+    def g(theta):
+        return float(residual_map(body, P, Rotation.from_angle(theta)).residual[0])
+
+    thetas = np.linspace(0.0, np.pi, samples + 1)
+    values = [g(t) for t in thetas]
+    found = []
+    for i in range(samples):
+        lo, hi, flo, fhi = float(thetas[i]), float(thetas[i + 1]), values[i], values[i + 1]
+        lo_zero, hi_zero = abs(flo) <= 1e-15, abs(fhi) <= 1e-15
+        if lo_zero or hi_zero:
+            root = lo if not hi_zero else (hi if not lo_zero else 0.5 * (lo + hi))
+            found.append(("degenerate_zero", root))
+        elif flo * fhi < 0.0:
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                vmid = g(mid)
+                if vmid == 0.0:
+                    lo = hi = mid
+                    break
+                if (flo < 0.0) != (vmid < 0.0):
+                    hi = mid
+                else:
+                    lo, flo = mid, vmid
+            found.append(("sign_change", 0.5 * (lo + hi)))
+    return found
+
+
+@pytest.mark.parametrize(
+    "body",
+    [make_reuleaux_polygon(k, phase) for k in (3, 5, 7) for phase in (0.0, 0.31, 1.9)]
+    + [make_perturbed_ball(2, 5, 0.2, seed=s) for s in (0, 1)]
+    + [make_perturbed_ball(2, 3, 0.05, seed=2), make_ball(2)],
+)
+def test_scan_matches_scalar_reference(body):
+    P = preset("hexagon2d")
+    expected = _reference_scan(body, P, 256)
+    got = scan_2d(body, P, 256)
+    assert [b.kind for b in got] == [kind for kind, _ in expected]
+    for b, (_, root) in zip(got, expected):
+        assert abs(b.root - root) <= 1e-12
+        assert b.theta_lo <= b.root <= b.theta_hi
