@@ -15,9 +15,7 @@ from .bodies import (
     make_ball,
     make_perturbed_ball,
     make_reuleaux_polygon,
-    rotate_body,
     save_body,
-    translate,
     validate_support_function,
 )
 from .circumscribe import FitResult, containment_margin, fit_translation, residual_map, residuals, strip_residual
@@ -29,7 +27,6 @@ from .polytopes import (
     load_polytope,
     make_polytope,
     preset,
-    reference_frame,
     save_polytope,
 )
 from .rotations import Rotation, exp_chart, negate, random_rotation
@@ -54,9 +51,7 @@ __all__ = [
     "make_ball",
     "make_perturbed_ball",
     "make_reuleaux_polygon",
-    "rotate_body",
     "save_body",
-    "translate",
     "validate_support_function",
     "FitResult",
     "containment_margin",
@@ -74,7 +69,6 @@ __all__ = [
     "load_polytope",
     "make_polytope",
     "preset",
-    "reference_frame",
     "save_polytope",
     "Rotation",
     "exp_chart",

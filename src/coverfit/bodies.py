@@ -145,14 +145,6 @@ class ConvexBody:
         )
 
 
-def translate(body: ConvexBody, t: np.ndarray) -> ConvexBody:
-    return body.translated(t)
-
-
-def rotate_body(body: ConvexBody, rho: Rotation) -> ConvexBody:
-    return body.rotated(rho)
-
-
 def make_ball(dim: int) -> ConvexBody:
     """Ball of diameter one centered at the origin: h constant 1/2."""
     check_dim(dim)
@@ -170,6 +162,8 @@ def make_reuleaux_polygon(k: int, phase: float = 0.0) -> ConvexBody:
     """
     if k < 3 or k % 2 == 0:
         raise InputError(f"Reuleaux polygon needs odd k >= 3, got {k}")
+    if not np.isfinite(phase):
+        raise InputError(f"phase must be finite, got {phase}")
     circumradius = 1.0 / (2.0 * np.cos(np.pi / (2.0 * k)))
     ang = phase + 2.0 * np.pi * np.arange(k) / k
     vertices = circumradius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
@@ -231,7 +225,7 @@ def make_perturbed_ball(dim: int, degree: int, epsilon: float, seed: int) -> Con
     check_dim(dim)
     if degree % 2 == 0 or degree < 1 or degree > 5:
         raise InputError(f"degree must be odd and in [1, 5], got {degree}")
-    if epsilon < 0.0 or epsilon > 0.2:
+    if not 0.0 <= epsilon <= 0.2:
         raise InputError(f"epsilon must lie in [0, 0.2], got {epsilon}")
     rng = np.random.default_rng(seed)
     exponents = odd_monomial_exponents(dim, degree)
@@ -349,23 +343,33 @@ def body_from_dict(data: dict) -> ConvexBody:
     try:
         dim = int(data["dim"])
         kind = data["kind"]
+        check_dim(dim)
+        if kind == KIND_REULEAUX:
+            k, phase = int(data["k"]), float(data.get("phase", 0.0))
+        elif kind == KIND_PERTURBED:
+            entries = data.get("coeffs", [])
+            exponents = np.array([e["exponents"] for e in entries], dtype=int).reshape(len(entries), dim)
+            coeffs = np.array([e["c"] for e in entries], dtype=float)
+            epsilon = float(data.get("epsilon", 0.0))
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed body data: {exc}") from exc
-    check_dim(dim)
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise InputError(f"malformed body data: {detail}") from exc
     if kind == KIND_BALL:
         return make_ball(dim)
     if kind == KIND_REULEAUX:
         if dim != 2:
             raise InputError("reuleaux_polygon bodies are two dimensional")
-        return make_reuleaux_polygon(int(data["k"]), float(data.get("phase", 0.0)))
+        return make_reuleaux_polygon(k, phase)
     if kind == KIND_PERTURBED:
-        entries = data.get("coeffs", [])
-        exponents = np.array([e["exponents"] for e in entries], dtype=int).reshape(len(entries), dim)
-        coeffs = np.array([e["c"] for e in entries], dtype=float)
+        if np.any(exponents < 0):
+            raise InputError("perturbation exponents must be nonnegative")
         for exps in exponents:
             if int(exps.sum()) % 2 != 1:
                 raise InputError("perturbation monomials must have odd total degree")
-        epsilon = float(data.get("epsilon", 0.0))
+        if not np.all(np.isfinite(coeffs)):
+            raise InputError("perturbation coefficients must be finite")
+        if not np.isfinite(epsilon):
+            raise InputError(f"epsilon must be finite, got {epsilon}")
         if epsilon < 0.0:
             raise InputError("epsilon must be nonnegative")
         return _perturbed_body(dim, epsilon, exponents, coeffs)

@@ -119,7 +119,6 @@ def residuals(body: ConvexBody, P: SymmetricPolytope, R: np.ndarray) -> tuple[np
 
 def residual_map(body: ConvexBody, P: SymmetricPolytope, tau: Rotation) -> FitResult:
     """Translation, residual over the non-frame strips, and margin at tau."""
-    _check_dims(body, P, tau)
     x, g = residuals(body, P, tau.matrix[None])
     margin = containment_margin(body, P, tau, x[0])
     return FitResult(x=x[0], residual=g[0], margin=margin, frame=P.frame)

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 search did not converge or a record failed
 verification, 3 invalid input.  All outputs are JSON (records, bracket
 lists, bounds reports) except the dense scan table, which is CSV for
-plotting.  COVERFIT_THREADS caps the solver's worker processes.
+plotting.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 
@@ -27,19 +26,6 @@ from . import topology
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
 EXIT_BAD_INPUT = 3
-
-
-def _worker_count() -> int:
-    env = os.environ.get("COVERFIT_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise InputError(f"COVERFIT_THREADS must be an integer, got {env!r}") from exc
-        if n < 1:
-            raise InputError("COVERFIT_THREADS must be at least 1")
-        return n
-    return os.cpu_count() or 1
 
 
 def cmd_gen_body(args: argparse.Namespace) -> int:
@@ -84,7 +70,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         restarts=args.restarts, tol=args.tol, max_iters=args.max_iters, seed=args.seed
     )
     t0 = time.perf_counter()
-    outcome = minimize(body, P, cfg, n_workers=_worker_count())
+    outcome = minimize(body, P, cfg)
     wall = time.perf_counter() - t0
     record = build_solve_record(body, P, cfg, outcome, wall, input_digests=digests)
     if args.out:

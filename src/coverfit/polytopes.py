@@ -128,10 +128,6 @@ def _select_frame(K: np.ndarray, dim: int) -> ReferenceFrame:
     return ReferenceFrame(indices=best_idx, det_abs=best_det)
 
 
-def reference_frame(P: SymmetricPolytope) -> ReferenceFrame:
-    return P.frame
-
-
 def facet_normals(P: SymmetricPolytope) -> np.ndarray:
     """All 2k oriented facet normals, the stored normals and their negatives."""
     return np.concatenate([P.strip_normals, -P.strip_normals], axis=0)

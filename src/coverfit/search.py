@@ -5,18 +5,20 @@ exponential chart around a Haar-random rotation.  Nelder-Mead is used
 because Reuleaux support functions have kinks at arc junctions; the chart
 is re-centered at the incumbent every hundred iterations and the simplex is
 rebuilt at the scale of the current residual, which keeps the final
-contraction fast.  A failed search reports "no zero found", never
-nonexistence: beyond the covering bound a zero may genuinely be absent, and
-inside it a miss only signals numerical difficulty.
+contraction fast.  Starts run one after another in the calling process: a
+solve usually ends in its first start, so worker processes only add their
+spawn cost.  The Nelder-Mead step is written here, on numpy alone, rather
+than taken from scipy, whose import would cost more than a whole solve.  A
+failed search reports "no zero found", never nonexistence: beyond the
+covering bound a zero may genuinely be absent, and inside it a miss only
+signals numerical difficulty.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _nelder_mead
 
 from .bodies import ConvexBody
 from .circumscribe import FitResult, residual_map, residuals
@@ -82,6 +84,56 @@ def _gnorm_at(body: ConvexBody, P: SymmetricPolytope, tau: Rotation) -> float:
     return float(np.linalg.norm(g[0]))
 
 
+def _nelder_mead(f, simplex: np.ndarray, maxiter: int) -> tuple[np.ndarray, float, int]:
+    """Minimize f from the initial simplex, shape (m + 1, m).
+
+    The fixed-coefficient method: reflection 1, expansion 2, contraction 1/2,
+    shrink 1/2.  It stops after maxiter iterations, counted from 1, or when
+    the simplex has collapsed to one point with one value.  Every step uses
+    the arithmetic and vertex ordering of scipy.optimize's Nelder-Mead with
+    xatol = fatol = 0, so the iterates are bit-identical to it.  Returns the
+    best vertex, its value and the iteration count.
+    """
+    sim = np.array(simplex, dtype=float)
+    m = sim.shape[1]
+    fsim = np.array([f(v) for v in sim], dtype=float)
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    nit = 1
+    while nit < maxiter:
+        if np.max(np.abs(sim[1:] - sim[0])) <= 0.0 and np.max(np.abs(fsim[0] - fsim[1:])) <= 0.0:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / m
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, m + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        nit += 1
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return sim[0], float(np.min(fsim)), nit
+
+
 def _run_single_start(
     body: ConvexBody, P: SymmetricPolytope, cfg: SearchConfig, start_index: int
 ) -> tuple[float, np.ndarray, int]:
@@ -107,29 +159,13 @@ def _run_single_start(
 
         simplex = np.zeros((m + 1, m))
         simplex[1:] = np.eye(m) * delta
-        res = _nelder_mead(
-            objective,
-            np.zeros(m),
-            method="Nelder-Mead",
-            options={
-                "maxiter": min(_RECENTER_EVERY, cfg.max_iters - iters),
-                "xatol": 0.0,
-                "fatol": 0.0,
-                "initial_simplex": simplex,
-            },
-        )
-        iters += max(int(res.nit), 1)
-        tau = exp_chart(center, res.x)
-        gn = float(res.fun)
+        a, gn, nit = _nelder_mead(objective, simplex, min(_RECENTER_EVERY, cfg.max_iters - iters))
+        iters += nit
+        tau = exp_chart(center, a)
         if gn <= cfg.tol:
             break
         delta = min(max(_SIMPLEX_GAIN * gn, _MIN_SIMPLEX), _MAX_SIMPLEX)
     return gn, tau.matrix, iters
-
-
-def _start_task(payload: tuple) -> tuple[float, np.ndarray, int]:
-    body, P, cfg, start_index = payload
-    return _run_single_start(body, P, cfg, start_index)
 
 
 def minimize(
@@ -140,11 +176,11 @@ def minimize(
 ) -> SearchOutcome:
     """Multistart search for a rotation with vanishing residual.
 
-    Starts are independent; with n_workers > 1 they run in waves of worker
-    processes.  The merged result is scheduling independent: the winner is
-    the lowest start index reaching cfg.tol, otherwise the lowest gnorm seen
-    (ties to the lower index), so reruns with the same config reproduce the
-    outcome bit for bit.
+    Starts run in index order and the search stops at the first one that
+    reaches cfg.tol; otherwise the lowest gnorm seen wins (ties to the lower
+    index).  Reruns with the same config reproduce the outcome bit for bit.
+    n_workers is accepted for compatibility and ignored: every start runs in
+    the calling process.
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -153,39 +189,17 @@ def minimize(
 
     best_gn = np.inf
     best_matrix: np.ndarray | None = None
-    converged_index: int | None = None
-
-    def consider(index: int, gn: float, matrix: np.ndarray) -> bool:
-        nonlocal best_gn, best_matrix, converged_index
+    starts = cfg.restarts
+    for i in range(cfg.restarts):
+        gn, matrix, _ = _run_single_start(body, P, cfg, i)
         if gn < best_gn:
-            best_gn = gn
-            best_matrix = matrix
+            best_gn, best_matrix = gn, matrix
         if gn <= cfg.tol:
-            converged_index = index
-            return True
-        return False
-
-    if n_workers <= 1:
-        for i in range(cfg.restarts):
-            gn, matrix, _ = _run_single_start(body, P, cfg, i)
-            if consider(i, gn, matrix):
-                break
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            done = False
-            for wave in range(0, cfg.restarts, n_workers):
-                idxs = list(range(wave, min(wave + n_workers, cfg.restarts)))
-                payloads = [(body, P, cfg, i) for i in idxs]
-                for i, (gn, matrix, _) in zip(idxs, pool.map(_start_task, payloads)):
-                    if consider(i, gn, matrix):
-                        done = True
-                        break
-                if done:
-                    break
+            starts = i + 1
+            break
 
     tau = Rotation(dim=body.dim, matrix=best_matrix)
     fit = residual_map(body, P, tau)
-    starts = (converged_index + 1) if converged_index is not None else cfg.restarts
     return SearchOutcome(
         rotation=tau, fit=fit, starts=starts, converged=fit.gnorm <= cfg.tol, seed=cfg.seed
     )

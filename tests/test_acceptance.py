@@ -26,9 +26,7 @@ from coverfit import (
     preset,
     random_rotation,
     residual_map,
-    rotate_body,
     scan_2d,
-    translate,
 )
 from coverfit.cli import main as cli_main
 from coverfit.records import build_solve_record, write_record
@@ -210,10 +208,10 @@ def test_criterion_7_equivariance_and_translation():
             rho = random_rotation(4, rng)
             tau = random_rotation(4, rng)
             t = rng.uniform(-0.5, 0.5, 4)
-            lhs = residual_map(rotate_body(body, rho), P, tau).residual
+            lhs = residual_map(body.rotated(rho), P, tau).residual
             rhs = residual_map(body, P, rho.inverse() @ tau).residual
             worst_equi = max(worst_equi, float(np.max(np.abs(lhs - rhs))))
-            moved = residual_map(translate(body, t), P, tau).residual
+            moved = residual_map(body.translated(t), P, tau).residual
             base = residual_map(body, P, tau).residual
             worst_trans = max(worst_trans, float(np.max(np.abs(moved - base))))
     elapsed = time.perf_counter() - t0

@@ -17,9 +17,7 @@ from coverfit import (
     make_perturbed_ball,
     make_reuleaux_polygon,
     random_rotation,
-    rotate_body,
     save_body,
-    translate,
     validate_support_function,
 )
 from coverfit.bodies import PerturbedBallSpec, ConvexBody, body_from_dict, body_to_dict
@@ -186,7 +184,7 @@ def test_sublinearity_all_families(factory):
 def test_translate_shifts_support():
     ball = make_ball(3)
     t = np.array([0.1, -0.2, 0.3])
-    moved = translate(ball, t)
+    moved = ball.translated(t)
     rng = np.random.default_rng(2)
     U = unit_vectors(rng, 3, 200)
     assert np.allclose(moved.support_many(U), 0.5 + U @ t, atol=1e-15)
@@ -195,7 +193,7 @@ def test_translate_shifts_support():
 
 def test_translate_zero_is_identity_pointwise():
     body = make_perturbed_ball(4, 3, 0.05, seed=5)
-    moved = translate(body, np.zeros(4))
+    moved = body.translated(np.zeros(4))
     rng = np.random.default_rng(3)
     U = unit_vectors(rng, 4, 100)
     assert np.array_equal(moved.support_many(U), body.support_many(U))
@@ -203,7 +201,7 @@ def test_translate_zero_is_identity_pointwise():
 
 def test_translate_rejects_dim_mismatch():
     with pytest.raises(InputError):
-        translate(make_ball(3), np.zeros(2))
+        make_ball(3).translated(np.zeros(2))
 
 
 def test_rotate_ball_invariant():
@@ -211,12 +209,12 @@ def test_rotate_ball_invariant():
     rho = random_rotation(4, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     U = unit_vectors(rng, 4, 100)
-    assert np.allclose(rotate_body(ball, rho).support_many(U), 0.5, atol=0)
+    assert np.allclose(ball.rotated(rho).support_many(U), 0.5, atol=0)
 
 
 def test_rotate_identity_is_identity():
     body = make_perturbed_ball(3, 3, 0.05, seed=1)
-    rot = rotate_body(body, Rotation.identity(3))
+    rot = body.rotated(Rotation.identity(3))
     rng = np.random.default_rng(4)
     U = unit_vectors(rng, 3, 50)
     assert np.allclose(rot.support_many(U), body.support_many(U), atol=1e-15)
@@ -227,7 +225,7 @@ def test_rotate_composes():
     rng = np.random.default_rng(10)
     rho1 = random_rotation(4, rng)
     rho2 = random_rotation(4, rng)
-    twice = rotate_body(rotate_body(body, rho1), rho2)
+    twice = body.rotated(rho1).rotated(rho2)
     combined = rho2 @ rho1
     U = unit_vectors(rng, 4, 100)
     # support of the doubly rotated body is h((rho2 rho1)^-1 u)
@@ -237,7 +235,7 @@ def test_rotate_composes():
 
 def test_rotate_rejects_dim_mismatch():
     with pytest.raises(InputError):
-        rotate_body(make_ball(2), Rotation.identity(3))
+        make_ball(2).rotated(Rotation.identity(3))
 
 
 @settings(deadline=None, max_examples=30)
@@ -279,7 +277,7 @@ def test_body_dict_roundtrip_matches():
 
 def test_wrapped_bodies_have_no_file_form():
     with pytest.raises(InputError):
-        body_to_dict(translate(make_ball(2), np.array([0.1, 0.0])))
+        body_to_dict(make_ball(2).translated(np.array([0.1, 0.0])))
 
 
 def test_body_from_dict_rejects_even_monomial():
@@ -291,6 +289,33 @@ def test_body_from_dict_rejects_even_monomial():
     }
     with pytest.raises(InputError):
         body_from_dict(data)
+
+
+def test_body_from_dict_rejects_nonfinite_values():
+    base = body_to_dict(make_perturbed_ball(3, 3, 0.05, seed=2))
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(InputError, match="epsilon must be finite"):
+            body_from_dict(dict(base, epsilon=bad))
+        coeffs = [dict(base["coeffs"][0], c=bad)] + base["coeffs"][1:]
+        with pytest.raises(InputError, match="coefficients must be finite"):
+            body_from_dict(dict(base, coeffs=coeffs))
+        with pytest.raises(InputError, match="phase must be finite"):
+            body_from_dict({"dim": 2, "kind": "reuleaux_polygon", "k": 3, "phase": bad})
+
+
+def test_body_from_dict_rejects_negative_exponents():
+    data = {"dim": 2, "kind": "perturbed_ball", "epsilon": 0.05,
+            "coeffs": [{"exponents": [-1, 2], "c": 0.3}]}
+    with pytest.raises(InputError, match="nonnegative"):
+        body_from_dict(data)
+
+
+def test_generators_reject_nonfinite_parameters():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InputError):
+            make_perturbed_ball(3, 3, bad, seed=0)
+        with pytest.raises(InputError):
+            make_reuleaux_polygon(3, bad)
 
 
 def test_load_body_missing_file(tmp_path):

@@ -16,9 +16,7 @@ from coverfit import (
     random_rotation,
     residual_map,
     residuals,
-    rotate_body,
     strip_residual,
-    translate,
 )
 
 
@@ -30,7 +28,7 @@ def test_fit_translation_ball_is_zero():
 
 def test_fit_translation_translated_ball():
     t = np.array([0.05, -0.1, 0.02, 0.07])
-    body = translate(make_ball(4), t)
+    body = make_ball(4).translated(t)
     rng = np.random.default_rng(0)
     tau = random_rotation(4, rng)
     frame = preset("axisdiag14_4d").strip_normals[:4] @ tau.matrix.T
@@ -178,7 +176,7 @@ def test_rotation_equivariance():
         for _ in range(10):
             rho = random_rotation(4, rng)
             tau = random_rotation(4, rng)
-            lhs = residual_map(rotate_body(body, rho), P, tau).residual
+            lhs = residual_map(body.rotated(rho), P, tau).residual
             rhs = residual_map(body, P, rho.inverse() @ tau).residual
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
@@ -192,7 +190,7 @@ def test_translation_invariance():
             t = rng.uniform(-0.5, 0.5, 4)
             tau = random_rotation(4, rng)
             fit_orig = residual_map(body, P, tau)
-            fit_moved = residual_map(translate(body, t), P, tau)
+            fit_moved = residual_map(body.translated(t), P, tau)
             assert np.max(np.abs(fit_moved.residual - fit_orig.residual)) <= 1e-12
             assert np.max(np.abs(fit_moved.x - (fit_orig.x + t))) <= 1e-12
 

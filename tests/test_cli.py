@@ -1,4 +1,5 @@
 import json
+import multiprocessing.process
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +90,16 @@ def test_gen_body_even_k_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_gen_body_nan_epsilon_exits_3(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    code = main(
+        ["gen-body", "--dim", "3", "--kind", "perturbed_ball", "--epsilon", "nan", "--out", str(out)]
+    )
+    assert code == 3
+    assert "epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_body_bad_flag_exits_3(tmp_path, capsys):
     code, _ = run(["gen-body", "--dim", "4", "--kind", "mystery", "--out", str(tmp_path / "x")], capsys)
     assert code == 3
@@ -172,6 +183,39 @@ def test_solve_accepts_preset_via_polytope_flag(tmp_path, ball4_file, capsys):
 def test_solve_dimension_mismatch_exits_3(tmp_path, ball4_file, capsys):
     code, _ = run(["solve", "--body", str(ball4_file), "--preset", "hexagon2d"], capsys)
     assert code == 3
+
+
+MALFORMED_BODIES = {
+    "reuleaux_without_k": {"dim": 2, "kind": "reuleaux_polygon"},
+    "reuleaux_k_not_a_number": {"dim": 2, "kind": "reuleaux_polygon", "k": "abc"},
+    "exponents_of_wrong_length": {
+        "dim": 3, "kind": "perturbed_ball", "epsilon": 0.05,
+        "coeffs": [{"exponents": [1, 0], "c": 0.3}],
+    },
+    "coefficient_without_exponents": {
+        "dim": 3, "kind": "perturbed_ball", "epsilon": 0.05, "coeffs": [{"c": 0.3}],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_BODIES))
+def test_solve_malformed_body_exits_3(tmp_path, capsys, name):
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps(MALFORMED_BODIES[name]))
+    code = main(["solve", "--body", str(path), "--preset", "rhombic12_3d"])
+    assert code == 3
+    assert "error: malformed body data" in capsys.readouterr().err
+
+
+def test_solve_infinite_epsilon_body_exits_3(tmp_path, capsys):
+    path = tmp_path / "body.json"
+    data = body_to_dict(make_perturbed_ball(3, 3, 0.05, seed=1))
+    data["epsilon"] = float("inf")
+    path.write_text(json.dumps(data))
+    assert "Infinity" in path.read_text()
+    code = main(["solve", "--body", str(path), "--preset", "rhombic12_3d"])
+    assert code == 3
+    assert "epsilon must be finite" in capsys.readouterr().err
 
 
 def test_solve_missing_body_exits_3(tmp_path, capsys):
@@ -385,13 +429,16 @@ def test_unknown_command_exits_3(capsys):
     assert main(["frobnicate"]) == 3
 
 
-def test_threads_env_rejected_value(tmp_path, ball4_file, capsys, monkeypatch):
+def test_solve_runs_in_process(tmp_path, pb4_file, capsys, monkeypatch):
+    # no worker process may start, and the retired worker-count variable is ignored
+    def refuse(self):
+        raise AssertionError("solve started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
     monkeypatch.setenv("COVERFIT_THREADS", "zero")
-    code, _ = run(["solve", "--body", str(ball4_file), "--preset", "axisdiag14_4d"], capsys)
-    assert code == 3
-
-
-def test_threads_env_honored(tmp_path, ball4_file, capsys, monkeypatch):
-    monkeypatch.setenv("COVERFIT_THREADS", "2")
-    code, _ = run(["solve", "--body", str(ball4_file), "--preset", "axisdiag14_4d", "--restarts", "2"], capsys)
+    code, out = run(
+        ["solve", "--body", str(pb4_file), "--preset", "axisdiag14_4d", "--restarts", "2"], capsys
+    )
     assert code == 0
+    expected = minimize(load_body(pb4_file), preset("axisdiag14_4d"), SearchConfig(restarts=2))
+    assert json.loads(out) == json.loads(json.dumps(expected.to_dict()))

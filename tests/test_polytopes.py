@@ -13,7 +13,6 @@ from coverfit import (
     make_polytope,
     preset,
     random_rotation,
-    reference_frame,
     save_polytope,
 )
 from coverfit.polytopes import polytope_from_dict, polytope_to_dict, resolve_polytope
@@ -91,7 +90,7 @@ def test_unknown_preset():
 
 def test_reference_frame_axisdiag_oracle():
     P = preset("axisdiag14_4d")
-    frame = reference_frame(P)
+    frame = P.frame
     # oracle: enumerate all 35 subsets directly
     best = max(
         combinations(range(7), 4),
@@ -104,7 +103,7 @@ def test_reference_frame_axisdiag_oracle():
 
 def test_reference_frame_hexagon_tiebreak():
     P = preset("hexagon2d")
-    frame = reference_frame(P)
+    frame = P.frame
     dets = [abs(np.linalg.det(P.strip_normals[list(idx)])) for idx in combinations(range(3), 2)]
     assert np.allclose(dets, np.sin(np.pi / 3), atol=1e-12)
     assert frame.indices == (0, 1)
@@ -113,17 +112,17 @@ def test_reference_frame_hexagon_tiebreak():
 def test_reference_frame_orthonormal_first():
     normals = np.concatenate([np.eye(3), [[1 / np.sqrt(3)] * 3]])
     P = make_polytope(3, normals)
-    assert reference_frame(P).det_abs == pytest.approx(1.0, abs=1e-12)
+    assert P.frame.det_abs == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reference_frame_rotation_invariant():
     P = preset("axisdiag14_4d")
-    base_indices = reference_frame(P).indices
+    base_indices = P.frame.indices
     rng = np.random.default_rng(42)
     for _ in range(100):
         rho = random_rotation(4, rng)
         rotated = make_polytope(4, P.strip_normals @ rho.matrix.T)
-        assert reference_frame(rotated).indices == base_indices
+        assert rotated.frame.indices == base_indices
 
 
 def test_facet_normals_are_pairs():

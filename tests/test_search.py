@@ -1,5 +1,9 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
 from coverfit import (
     InputError,
@@ -14,7 +18,8 @@ from coverfit import (
     scan_2d,
     scan_residual_2d,
 )
-from coverfit.search import _run_single_start
+from coverfit.rotations import chart_dim, exp_chart, random_rotation
+from coverfit.search import _gnorm_at, _nelder_mead, _run_single_start
 
 
 def test_config_defaults_and_validation():
@@ -44,6 +49,53 @@ def test_ball_needs_zero_iterations():
     gn, _, iters = _run_single_start(make_ball(4), P, SearchConfig(seed=0), 0)
     assert gn == 0.0
     assert iters == 0
+
+
+NELDER_MEAD_CASES = {
+    "desk4d": lambda: (make_perturbed_ball(4, 3, 0.05, seed=1), "axisdiag14_4d"),
+    "rough3d": lambda: (make_perturbed_ball(3, 5, 0.2, seed=2), "rhombic12_3d"),
+    "reuleaux": lambda: (make_reuleaux_polygon(5, phase=0.3), "hexagon2d"),
+    "planar": lambda: (make_perturbed_ball(2, 5, 0.2, seed=3), "hexagon2d"),
+    # a residual that is zero everywhere: the simplex only shrinks until it collapses
+    "flat": lambda: (make_ball(4), "axisdiag14_4d"),
+}
+
+
+@pytest.mark.parametrize("maxiter", [1, 100])
+@pytest.mark.parametrize("scale", [0.5, 1e-3, 1e-7, 1e-300])
+@pytest.mark.parametrize("case", sorted(NELDER_MEAD_CASES))
+def test_nelder_mead_matches_scipy(case, scale, maxiter):
+    body, name = NELDER_MEAD_CASES[case]()
+    P = preset(name)
+    center = random_rotation(body.dim, np.random.default_rng(17))
+
+    def objective(a):
+        return _gnorm_at(body, P, exp_chart(center, a))
+
+    m = chart_dim(body.dim)
+    simplex = np.zeros((m + 1, m))
+    simplex[1:] = np.eye(m) * scale
+    ref = scipy_minimize(
+        objective,
+        np.zeros(m),
+        method="Nelder-Mead",
+        options={"maxiter": maxiter, "xatol": 0.0, "fatol": 0.0, "initial_simplex": simplex},
+    )
+    x, fun, nit = _nelder_mead(objective, simplex, maxiter)
+    assert np.array_equal(x, ref.x)
+    assert fun == ref.fun
+    assert nit == ref.nit
+    if case == "flat" and scale == 1e-300 and maxiter == 100:
+        assert nit < maxiter  # the collapsed simplex ended the run early
+
+
+def test_import_loads_neither_scipy_nor_process_pools():
+    code = (
+        "import sys, coverfit, coverfit.cli; "
+        "print(sorted(m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_reuleaux_triangle_zero_matches_scan_bracket():
