@@ -429,13 +429,31 @@ def test_unknown_command_exits_3(capsys):
     assert main(["frobnicate"]) == 3
 
 
+def test_threads_env_rejected_value(tmp_path, ball4_file, capsys, monkeypatch):
+    # COVERFIT_THREADS is retired: a value it once rejected no longer stops a solve
+    monkeypatch.setenv("COVERFIT_THREADS", "zero")
+    code, _ = run(["solve", "--body", str(ball4_file), "--preset", "axisdiag14_4d"], capsys)
+    assert code == 0
+
+
+def test_threads_env_honored(tmp_path, pb4_file, capsys, monkeypatch):
+    # a worker count in COVERFIT_THREADS leaves the outcome of a solve unchanged
+    monkeypatch.setenv("COVERFIT_THREADS", "2")
+    args = ["solve", "--body", str(pb4_file), "--preset", "axisdiag14_4d", "--restarts", "2"]
+    code, with_env = run(args, capsys)
+    assert code == 0
+    monkeypatch.delenv("COVERFIT_THREADS")
+    code, without_env = run(args, capsys)
+    assert code == 0
+    assert json.loads(with_env) == json.loads(without_env)
+
+
 def test_solve_runs_in_process(tmp_path, pb4_file, capsys, monkeypatch):
-    # no worker process may start, and the retired worker-count variable is ignored
+    # no worker process may start
     def refuse(self):
         raise AssertionError("solve started a process")
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
-    monkeypatch.setenv("COVERFIT_THREADS", "zero")
     code, out = run(
         ["solve", "--body", str(pb4_file), "--preset", "axisdiag14_4d", "--restarts", "2"], capsys
     )
