@@ -96,7 +96,9 @@ class ConvexBody:
             spec = self.perturbation
             if spec.coeffs.size == 0 or spec.epsilon == 0.0:
                 return np.full(U.shape[0], 0.5)
-            return 0.5 + spec.epsilon * (_eval_monomials(spec.exponents, U) @ spec.coeffs)
+            # one dot per contiguous row, so a row's value does not depend on its batch
+            monos = np.ascontiguousarray(_eval_monomials(spec.exponents, U))
+            return 0.5 + spec.epsilon * np.einsum("ij,j->i", monos, spec.coeffs)
         if self.kind == KIND_REULEAUX:
             spec = self.reuleaux
             psi = np.arctan2(U[:, 1], U[:, 0])
@@ -339,16 +341,24 @@ def body_to_dict(body: ConvexBody) -> dict:
     raise InputError(f"body kind {body.kind!r} has no file representation")
 
 
+def _whole(values) -> np.ndarray:
+    """values as integers; ValueError unless each is a finite whole number."""
+    raw = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+        raise ValueError(f"expected whole numbers, got {values!r}")
+    return raw.astype(int)
+
+
 def body_from_dict(data: dict) -> ConvexBody:
     try:
-        dim = int(data["dim"])
+        dim = int(_whole(data["dim"]))
         kind = data["kind"]
         check_dim(dim)
         if kind == KIND_REULEAUX:
-            k, phase = int(data["k"]), float(data.get("phase", 0.0))
+            k, phase = int(_whole(data["k"])), float(data.get("phase", 0.0))
         elif kind == KIND_PERTURBED:
             entries = data.get("coeffs", [])
-            exponents = np.array([e["exponents"] for e in entries], dtype=int).reshape(len(entries), dim)
+            exponents = _whole([e["exponents"] for e in entries]).reshape(len(entries), dim)
             coeffs = np.array([e["c"] for e in entries], dtype=float)
             epsilon = float(data.get("epsilon", 0.0))
     except (KeyError, TypeError, ValueError) as exc:

@@ -21,10 +21,10 @@ from .circumscribe import residual_map
 from .errors import InputError
 from .polytopes import PRESET_NAMES, SymmetricPolytope, polytope_from_dict, polytope_to_dict
 from .rotations import Rotation
-from .search import SearchConfig, SearchOutcome
+from .search import MAX_TOL, SearchConfig, SearchOutcome
 
 VERIFY_TOL = 1e-10
-VERIFY_MARGIN_FLOOR = -1e-7
+VERIFY_MARGIN_FLOOR = -MAX_TOL
 
 
 def digest_bytes(data: bytes) -> str:
@@ -109,7 +109,8 @@ def verify_record(record: dict) -> VerifyResult:
     """Recompute the residual map at the stored rotation and compare.
 
     The stored x, residual, gnorm, and margin must each match the fresh
-    evaluation within 1e-10, and the fresh margin must stay above -1e-7.
+    evaluation within 1e-10, the fresh margin must stay above -1e-7, and the
+    stored converged flag must equal fresh gnorm <= the record's tol.
     """
     try:
         body = body_from_dict(record["inputs"]["body"])
@@ -120,6 +121,8 @@ def verify_record(record: dict) -> VerifyResult:
         stored_residual = np.array(out["residual"], dtype=float)
         stored_gnorm = float(out["gnorm"])
         stored_margin = float(out["margin"])
+        stored_converged = out["converged"]
+        tol = float(record["config"]["tol"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed record: {exc}") from exc
 
@@ -131,13 +134,16 @@ def verify_record(record: dict) -> VerifyResult:
         abs(fit.margin - stored_margin),
     ]
     worst = max(deviations)
-    matches = worst <= VERIFY_TOL and fit.margin >= VERIFY_MARGIN_FLOOR
+    claim_holds = stored_converged == (fit.gnorm <= tol)
+    matches = worst <= VERIFY_TOL and fit.margin >= VERIFY_MARGIN_FLOOR and claim_holds
     if matches:
         detail = "record reproduces"
     elif worst > VERIFY_TOL:
         detail = f"stored values deviate by {worst:.3e}"
-    else:
+    elif fit.margin < VERIFY_MARGIN_FLOOR:
         detail = f"margin {fit.margin:.3e} below floor"
+    else:
+        detail = f"stored converged {stored_converged} but gnorm {fit.gnorm:.3e} against tol {tol:.3e}"
     return VerifyResult(matches=matches, max_deviation=worst, margin=fit.margin, detail=detail)
 
 

@@ -1,17 +1,19 @@
 """Zero search for the residual map over the rotation group.
 
-The strategy is multistart local minimization of ||residual|| in the
-exponential chart around a Haar-random rotation.  Nelder-Mead is used
-because Reuleaux support functions have kinks at arc junctions; the chart
-is re-centered at the incumbent every hundred iterations and the simplex is
-rebuilt at the scale of the current residual, which keeps the final
-contraction fast.  Starts run one after another in the calling process: a
-solve usually ends in its first start, so worker processes only add their
-spawn cost.  The Nelder-Mead step is written here, on numpy alone, rather
-than taken from scipy, whose import would cost more than a whole solve.  A
-failed search reports "no zero found", never nonexistence: beyond the
-covering bound a zero may genuinely be absent, and inside it a miss only
-signals numerical difficulty.
+The residual g: SO(n) -> R^(k-n) has a zero set of dimension
+n(n-1)/2 - (k-n) where zeros exist, so the search is a Gauss-Newton
+zero-finder rather than a minimizer: from a Haar-random start it takes the
+minimum-norm step -J^+ g in the exponential chart around the current
+rotation and retracts it through that chart.  The Jacobian J comes from
+forward differences, one batched residual evaluation per iteration; that
+suffices because support functions of the bodies here are C^1 with a
+Lipschitz gradient, Reuleaux polygons included.  The step is halved until
+||g|| strictly drops; when forty halvings fail the start has stalled at a
+point it cannot improve, and it ends there.  Starts run one after another
+in the calling process: a solve usually ends in its first start.  A failed
+search reports "no zero found", never nonexistence: beyond the covering
+bound a zero may genuinely be absent, and inside it a miss only signals
+numerical difficulty.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ from .errors import InputError
 from .polytopes import SymmetricPolytope
 from .rotations import Rotation, chart_dim, exp_chart, random_rotation
 
-_RECENTER_EVERY = 100
-_INITIAL_SIMPLEX_SCALE = 0.5
-_SIMPLEX_GAIN = 2.0
-_MIN_SIMPLEX = 1e-9
-_MAX_SIMPLEX = 0.25
+_DIFF_STEP = 1e-7
+_MAX_HALVINGS = 40
+# a zero claimed at this tolerance still passes the verify margin floor
+MAX_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise InputError("restarts must be at least 1")
-        if not self.tol > 0.0:
-            raise InputError("tol must be positive")
+        if not 0.0 < self.tol <= MAX_TOL:
+            raise InputError(f"tol must be in (0, {MAX_TOL:g}], got {self.tol}")
         if self.max_iters < 1:
             raise InputError("max_iters must be at least 1")
         if self.seed < 0:
@@ -79,92 +80,45 @@ class SearchOutcome:
         return d
 
 
-def _gnorm_at(body: ConvexBody, P: SymmetricPolytope, tau: Rotation) -> float:
-    _, g = residuals(body, P, tau.matrix[None])
-    return float(np.linalg.norm(g[0]))
+def _gauss_newton_step(
+    body: ConvexBody, P: SymmetricPolytope, tau: Rotation, g: np.ndarray
+) -> np.ndarray:
+    """The minimum-norm chart step -J^+ g at tau.
 
-
-def _nelder_mead(f, simplex: np.ndarray, maxiter: int) -> tuple[np.ndarray, float, int]:
-    """Minimize f from the initial simplex, shape (m + 1, m).
-
-    The fixed-coefficient method: reflection 1, expansion 2, contraction 1/2,
-    shrink 1/2.  It stops after maxiter iterations, counted from 1, or when
-    the simplex has collapsed to one point with one value.  Every step uses
-    the arithmetic and vertex ordering of scipy.optimize's Nelder-Mead with
-    xatol = fatol = 0, so the iterates are bit-identical to it.  Returns the
-    best vertex, its value and the iteration count.
+    J, shape (k - n, m), is the forward-difference Jacobian of the residual
+    in the exponential chart at tau, from one batched residual evaluation.
     """
-    sim = np.array(simplex, dtype=float)
-    m = sim.shape[1]
-    fsim = np.array([f(v) for v in sim], dtype=float)
-    for _ in range(2):
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    nit = 1
-    while nit < maxiter:
-        if np.max(np.abs(sim[1:] - sim[0])) <= 0.0 and np.max(np.abs(fsim[0] - fsim[1:])) <= 0.0:
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / m
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(xc)
-                accept = fxc <= fxr
-            else:
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                for j in range(1, m + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-        nit += 1
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return sim[0], float(np.min(fsim)), nit
+    steps = _DIFF_STEP * np.eye(chart_dim(body.dim))
+    _, shifted = residuals(body, P, np.stack([exp_chart(tau, e).matrix for e in steps]))
+    J = (shifted - g).T / _DIFF_STEP
+    return np.linalg.lstsq(J, -g, rcond=None)[0]
 
 
 def _run_single_start(
     body: ConvexBody, P: SymmetricPolytope, cfg: SearchConfig, start_index: int
 ) -> tuple[float, np.ndarray, int]:
-    """One restart: Haar start, then re-centered Nelder-Mead rounds.
+    """One restart: Haar start, then Gauss-Newton steps with halving.
 
     Returns (gnorm, rotation matrix, iterations used).  Deterministic for a
     fixed (cfg.seed, start_index).
     """
-    rng = np.random.default_rng([cfg.seed, start_index])
-    tau = random_rotation(body.dim, rng)
-    gn = _gnorm_at(body, P, tau)
-    if gn <= cfg.tol:
-        return gn, tau.matrix, 0
-
-    m = chart_dim(body.dim)
+    tau = random_rotation(body.dim, np.random.default_rng([cfg.seed, start_index]))
+    g = residuals(body, P, tau.matrix[None])[1][0]
+    gn = float(np.linalg.norm(g))
     iters = 0
-    delta = _INITIAL_SIMPLEX_SCALE
-    while iters < cfg.max_iters:
-        center = tau
-
-        def objective(a: np.ndarray) -> float:
-            return _gnorm_at(body, P, exp_chart(center, a))
-
-        simplex = np.zeros((m + 1, m))
-        simplex[1:] = np.eye(m) * delta
-        a, gn, nit = _nelder_mead(objective, simplex, min(_RECENTER_EVERY, cfg.max_iters - iters))
-        iters += nit
-        tau = exp_chart(center, a)
-        if gn <= cfg.tol:
-            break
-        delta = min(max(_SIMPLEX_GAIN * gn, _MIN_SIMPLEX), _MAX_SIMPLEX)
+    while gn > cfg.tol and iters < cfg.max_iters:
+        step = _gauss_newton_step(body, P, tau, g)
+        iters += 1
+        for _ in range(_MAX_HALVINGS + 1):
+            trial = exp_chart(tau, step)
+            g_trial = residuals(body, P, trial.matrix[None])[1][0]
+            gn_trial = float(np.linalg.norm(g_trial))
+            if gn_trial < gn:
+                tau, g, gn = trial, g_trial, gn_trial
+                break
+            step = 0.5 * step
+        else:
+            break  # stall: no halving of the step lowers the residual
     return gn, tau.matrix, iters
 
 
@@ -189,19 +143,17 @@ def minimize(
 
     best_gn = np.inf
     best_matrix: np.ndarray | None = None
-    starts = cfg.restarts
     for i in range(cfg.restarts):
         gn, matrix, _ = _run_single_start(body, P, cfg, i)
         if gn < best_gn:
             best_gn, best_matrix = gn, matrix
         if gn <= cfg.tol:
-            starts = i + 1
             break
 
     tau = Rotation(dim=body.dim, matrix=best_matrix)
     fit = residual_map(body, P, tau)
     return SearchOutcome(
-        rotation=tau, fit=fit, starts=starts, converged=fit.gnorm <= cfg.tol, seed=cfg.seed
+        rotation=tau, fit=fit, starts=i + 1, converged=fit.gnorm <= cfg.tol, seed=cfg.seed
     )
 
 
@@ -248,18 +200,25 @@ def scan_2d(body: ConvexBody, P: SymmetricPolytope, samples: int) -> list[ScanBr
     """All sign-change brackets of the scalar residual on [0, pi].
 
     Each sign change is refined by 60 bisection steps, all brackets in step
-    with one batched residual evaluation per step.  Intervals where the
-    residual is numerically zero at either end (the ball, for instance) are
-    reported as degenerate zeros instead of being bisected.
+    with one batched residual evaluation per step.  A crossing that lands on
+    an interior grid angle (numerically zero there, nonzero of opposite signs
+    at both neighbours) is one sign change collapsed onto that angle.  Other
+    intervals where the residual is numerically zero at either end (the
+    ball, for instance) are reported as degenerate zeros instead of being
+    bisected.
     """
     thetas, values = scan_residual_2d(body, P, samples)
     lo, hi = thetas[:-1].copy(), thetas[1:].copy()
     flo, fhi = values[:-1], values[1:]
-    lo_zero = np.abs(flo) <= _ZERO_EPS
-    hi_zero = np.abs(fhi) <= _ZERO_EPS
-    degenerate = lo_zero | hi_zero
+    zero = np.abs(values) <= _ZERO_EPS
+    crossing = np.pad(zero[1:-1] & ~zero[:-2] & ~zero[2:] & (values[:-2] * values[2:] < 0.0), 1)
+    lo_zero, hi_zero = zero[:-1], zero[1:]
+    # the crossing's entry takes the place of its left interval; its right one goes
+    on_grid = crossing[1:]
+    degenerate = (lo_zero | hi_zero) & ~on_grid & ~crossing[:-1]
     root = np.where(lo_zero & ~hi_zero, lo, np.where(hi_zero & ~lo_zero, hi, 0.5 * (lo + hi)))
-    sign = ~degenerate & (flo * fhi < 0.0)
+    lo[on_grid] = hi[on_grid]
+    sign = ~(lo_zero | hi_zero) & (flo * fhi < 0.0)
     if sign.any():
         blo, bhi, vlo = lo[sign], hi[sign], flo[sign]
         for _ in range(_BISECTION_STEPS):
@@ -272,7 +231,7 @@ def scan_2d(body: ConvexBody, P: SymmetricPolytope, samples: int) -> list[ScanBr
             bhi = np.where(left | hit, mid, bhi)
             vlo = np.where(left, vlo, vmid)
         lo[sign], hi[sign], root[sign] = blo, bhi, 0.5 * (blo + bhi)
-    found = np.flatnonzero(degenerate | sign)
+    found = np.flatnonzero(degenerate | sign | on_grid)
     if found.size == 0:
         return []
     at_root = _scalar_residuals(body, P, root[found])

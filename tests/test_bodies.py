@@ -321,3 +321,23 @@ def test_generators_reject_nonfinite_parameters():
 def test_load_body_missing_file(tmp_path):
     with pytest.raises(InputError):
         load_body(tmp_path / "nope.json")
+
+
+def test_body_from_dict_loads_whole_numbers_written_as_floats():
+    # fractional ones exit 3: test_cli.py::test_solve_malformed_body_exits_3
+    whole = body_from_dict({"dim": 2.0, "kind": "reuleaux_polygon", "k": 5.0, "phase": 0.3})
+    assert body_to_dict(whole) == body_to_dict(make_reuleaux_polygon(5, 0.3))
+    data = body_to_dict(make_perturbed_ball(3, 3, 0.05, seed=1))
+    floats = dict(data, coeffs=[dict(e, exponents=[float(x) for x in e["exponents"]]) for e in data["coeffs"]])
+    assert body_to_dict(body_from_dict(floats)) == data
+
+
+@pytest.mark.parametrize("dim,degree,seed", [(2, 5, 0), (3, 5, 2), (4, 3, 1)])
+def test_perturbed_support_rows_do_not_depend_on_their_call(dim, degree, seed):
+    body = make_perturbed_ball(dim, degree, 0.1, seed=seed)
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((257, dim))
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    whole = body.support_many(U)
+    assert np.array_equal(whole, [body.support(u) for u in U])
+    assert np.array_equal(whole, np.concatenate([body.support_many(U[:100]), body.support_many(U[100:])]))

@@ -195,6 +195,12 @@ MALFORMED_BODIES = {
     "coefficient_without_exponents": {
         "dim": 3, "kind": "perturbed_ball", "epsilon": 0.05, "coeffs": [{"c": 0.3}],
     },
+    "fractional_dim_and_k": {"dim": 2.9, "kind": "reuleaux_polygon", "k": 3.9},
+    "fractional_k": {"dim": 2, "kind": "reuleaux_polygon", "k": 3.9},
+    "fractional_exponent": {
+        "dim": 3, "kind": "perturbed_ball", "epsilon": 0.05,
+        "coeffs": [{"exponents": [1.5, 0, 0], "c": 0.3}],
+    },
 }
 
 
@@ -312,6 +318,32 @@ def test_stored_record_digests_reproduce(name, tmp_path):
     preset_name = {2: "hexagon2d", 4: "axisdiag14_4d"}[P.dim]
     digests = digest_inputs(body, P, body_file=body_file, polytope_source=preset_name)
     assert digests == record["inputs"]["digests"]
+
+
+def test_verify_rejects_a_convergence_claim_above_the_tol(tmp_path, capsys):
+    record = load_record(DATA / "solve_axisdiag14_4d.json")
+    assert record["outcome"]["converged"] and record["outcome"]["gnorm"] > 5e-11
+    record["config"]["tol"] = 5e-11
+    path = tmp_path / "claims.json"
+    write_record(record, path)
+    assert not verify_record(record).matches
+    code, out = run(["verify", "--record", str(path)], capsys)
+    assert code == 2
+    assert out.startswith("MISMATCH: stored converged True")
+    # and the converse: a zero within the tol stored as not converged
+    record["config"]["tol"] = 1e-10
+    record["outcome"]["converged"] = False
+    assert not verify_record(record).matches
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "1e-6"])
+def test_solve_tol_outside_the_verify_floor_exits_3(tmp_path, pb4_file, capsys, tol):
+    capsys.readouterr()
+    code = main(["solve", "--body", str(pb4_file), "--preset", "axisdiag14_4d", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "error: tol must be in (0, 1e-07]" in captured.err
 
 
 def test_digest_inputs_file_and_preset_rules(tmp_path):

@@ -3,7 +3,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize as scipy_minimize
 
 from coverfit import (
     InputError,
@@ -11,6 +10,7 @@ from coverfit import (
     SearchConfig,
     make_ball,
     make_perturbed_ball,
+    make_polytope,
     make_reuleaux_polygon,
     minimize,
     preset,
@@ -19,7 +19,7 @@ from coverfit import (
     scan_residual_2d,
 )
 from coverfit.rotations import chart_dim, exp_chart, random_rotation
-from coverfit.search import _gnorm_at, _nelder_mead, _run_single_start
+from coverfit.search import _gauss_newton_step, _run_single_start
 
 
 def test_config_defaults_and_validation():
@@ -27,8 +27,10 @@ def test_config_defaults_and_validation():
     assert (cfg.restarts, cfg.tol, cfg.max_iters) == (200, 1e-10, 5000)
     with pytest.raises(InputError):
         SearchConfig(restarts=0)
-    with pytest.raises(InputError):
-        SearchConfig(tol=0.0)
+    for tol in (0.0, np.inf, np.nan, 1e-6):
+        with pytest.raises(InputError):
+            SearchConfig(tol=tol)
+    assert SearchConfig(tol=1e-7).tol == 1e-7
     with pytest.raises(InputError):
         SearchConfig(max_iters=0)
     with pytest.raises(InputError):
@@ -51,42 +53,60 @@ def test_ball_needs_zero_iterations():
     assert iters == 0
 
 
-NELDER_MEAD_CASES = {
+GAUSS_NEWTON_CASES = {
     "desk4d": lambda: (make_perturbed_ball(4, 3, 0.05, seed=1), "axisdiag14_4d"),
     "rough3d": lambda: (make_perturbed_ball(3, 5, 0.2, seed=2), "rhombic12_3d"),
     "reuleaux": lambda: (make_reuleaux_polygon(5, phase=0.3), "hexagon2d"),
     "planar": lambda: (make_perturbed_ball(2, 5, 0.2, seed=3), "hexagon2d"),
-    # a residual that is zero everywhere: the simplex only shrinks until it collapses
-    "flat": lambda: (make_ball(4), "axisdiag14_4d"),
 }
 
 
-@pytest.mark.parametrize("maxiter", [1, 100])
-@pytest.mark.parametrize("scale", [0.5, 1e-3, 1e-7, 1e-300])
-@pytest.mark.parametrize("case", sorted(NELDER_MEAD_CASES))
-def test_nelder_mead_matches_scipy(case, scale, maxiter):
-    body, name = NELDER_MEAD_CASES[case]()
+@pytest.mark.parametrize("case", sorted(GAUSS_NEWTON_CASES))
+def test_gauss_newton_step_matches_pinv_reference(case):
+    body, name = GAUSS_NEWTON_CASES[case]()
     P = preset(name)
-    center = random_rotation(body.dim, np.random.default_rng(17))
-
-    def objective(a):
-        return _gnorm_at(body, P, exp_chart(center, a))
-
+    rng = np.random.default_rng(17)
     m = chart_dim(body.dim)
-    simplex = np.zeros((m + 1, m))
-    simplex[1:] = np.eye(m) * scale
-    ref = scipy_minimize(
-        objective,
-        np.zeros(m),
-        method="Nelder-Mead",
-        options={"maxiter": maxiter, "xatol": 0.0, "fatol": 0.0, "initial_simplex": simplex},
-    )
-    x, fun, nit = _nelder_mead(objective, simplex, maxiter)
-    assert np.array_equal(x, ref.x)
-    assert fun == ref.fun
-    assert nit == ref.nit
-    if case == "flat" and scale == 1e-300 and maxiter == 100:
-        assert nit < maxiter  # the collapsed simplex ended the run early
+    for _ in range(5):
+        tau = random_rotation(body.dim, rng)
+        g = residual_map(body, P, tau).residual
+        # one rotation at a time, column by column
+        J_ref = np.column_stack(
+            [(residual_map(body, P, exp_chart(tau, 1e-7 * e)).residual - g) / 1e-7 for e in np.eye(m)]
+        )
+        assert np.linalg.matrix_rank(J_ref) == len(g)
+        expected = -np.linalg.pinv(J_ref) @ g
+        step = _gauss_newton_step(body, P, tau, g)
+        assert np.linalg.norm(step - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_desk_first_start_converges_in_few_iterations(seed):
+    body = make_perturbed_ball(4, 3, 0.05, seed=seed)
+    gn, matrix, iters = _run_single_start(body, preset("axisdiag14_4d"), SearchConfig(seed=seed), 0)
+    assert gn <= 1e-10
+    assert 1 <= iters <= 10
+    assert residual_map(body, preset("axisdiag14_4d"), Rotation.from_matrix(matrix)).gnorm == gn
+
+
+def _polytope_22_facets():
+    normals = np.random.default_rng(5).normal(size=(11, 4))
+    return make_polytope(4, normals / np.linalg.norm(normals, axis=1, keepdims=True))
+
+
+def test_start_without_zero_stalls_early():
+    # 11 strips in R^4: a 7-component residual on the 6-dimensional SO(4)
+    P = _polytope_22_facets()
+    assert P.beyond_theorem_bound
+    body = make_perturbed_ball(4, 3, 0.05, seed=0)
+    cfg = SearchConfig()
+    for i in range(5):
+        gn, _, iters = _run_single_start(body, P, cfg, i)
+        assert gn > cfg.tol
+        assert iters < cfg.max_iters
+    out = minimize(body, P, SearchConfig(restarts=5))
+    assert not out.converged
+    assert out.starts == 5
 
 
 def test_import_loads_neither_scipy_nor_process_pools():
@@ -275,11 +295,23 @@ def _reference_scan(body, P, samples):
 
     thetas = np.linspace(0.0, np.pi, samples + 1)
     values = [g(t) for t in thetas]
+
+    def crossing(j):
+        """Numerically zero at grid angle j, nonzero of opposite signs beside it."""
+        if not 0 < j < samples or abs(values[j]) > 1e-15:
+            return False
+        before, after = values[j - 1], values[j + 1]
+        return abs(before) > 1e-15 and abs(after) > 1e-15 and before * after < 0.0
+
     found = []
     for i in range(samples):
         lo, hi, flo, fhi = float(thetas[i]), float(thetas[i + 1]), values[i], values[i + 1]
         lo_zero, hi_zero = abs(flo) <= 1e-15, abs(fhi) <= 1e-15
-        if lo_zero or hi_zero:
+        if crossing(i + 1):
+            found.append(("sign_change", hi))
+        elif crossing(i):
+            continue  # already reported with the interval on its left
+        elif lo_zero or hi_zero:
             root = lo if not hi_zero else (hi if not lo_zero else 0.5 * (lo + hi))
             found.append(("degenerate_zero", root))
         elif flo * fhi < 0.0:
@@ -311,3 +343,17 @@ def test_scan_matches_scalar_reference(body):
     for b, (_, root) in zip(got, expected):
         assert abs(b.root - root) <= 1e-12
         assert b.theta_lo <= b.root <= b.theta_hi
+
+
+@pytest.mark.parametrize("samples", [256, 512, 2048])
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_scan_reports_a_crossing_on_the_grid_once(k, samples):
+    # at phase 0 the residual crosses zero exactly at the grid angle pi/2
+    body = make_reuleaux_polygon(k, 0.0)
+    brackets = scan_2d(body, preset("hexagon2d"), samples)
+    assert all(b.kind == "sign_change" for b in brackets)
+    at_half_pi = [b for b in brackets if b.root == np.pi / 2]
+    assert len(at_half_pi) == 1
+    b = at_half_pi[0]
+    assert b.theta_lo == b.theta_hi == b.root
+    assert abs(b.residual_at_root) <= 1e-15
