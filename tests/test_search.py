@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
 from coverfit import (
     InputError,
@@ -79,6 +80,47 @@ def test_gauss_newton_step_matches_pinv_reference(case):
         step = _gauss_newton_step(body, P, tau, g)
         assert np.linalg.norm(step - expected) <= 1e-8 * np.linalg.norm(expected)
 
+
+NELDER_MEAD_CASES = {
+    **GAUSS_NEWTON_CASES,
+    # a residual that is zero everywhere
+    "flat": lambda: (make_ball(4), "axisdiag14_4d"),
+}
+
+
+@pytest.mark.parametrize("maxiter", [1, 100])
+@pytest.mark.parametrize("scale", [0.5, 1e-3, 1e-7, 1e-300])
+@pytest.mark.parametrize("case", sorted(NELDER_MEAD_CASES))
+def test_nelder_mead_matches_scipy(case, scale, maxiter):
+    """The search succeeds wherever scipy's Nelder-Mead, the method it replaced, does.
+
+    scipy minimizes ||g|| in the exponential chart around the search's first
+    Haar start, from a simplex of size `scale`, for `maxiter` iterations.
+    When that reaches a zero, the first Gauss-Newton start from the same
+    rotation reaches one within as many iterations.
+    """
+    body, name = NELDER_MEAD_CASES[case]()
+    P = preset(name)
+    cfg = SearchConfig(seed=0)
+    start = random_rotation(body.dim, np.random.default_rng([cfg.seed, 0]))
+
+    def objective(a):
+        return residual_map(body, P, exp_chart(start, a)).gnorm
+
+    m = chart_dim(body.dim)
+    simplex = np.zeros((m + 1, m))
+    simplex[1:] = np.eye(m) * scale
+    ref = scipy_minimize(
+        objective,
+        np.zeros(m),
+        method="Nelder-Mead",
+        options={"maxiter": maxiter, "xatol": 0.0, "fatol": 0.0, "initial_simplex": simplex},
+    )
+    assert minimize(body, P, cfg).converged
+    if ref.fun <= cfg.tol:
+        gn, _, iters = _run_single_start(body, P, SearchConfig(seed=0, max_iters=maxiter), 0)
+        assert gn <= cfg.tol
+        assert iters <= ref.nit
 
 @pytest.mark.parametrize("seed", range(10))
 def test_desk_first_start_converges_in_few_iterations(seed):
